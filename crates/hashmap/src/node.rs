@@ -23,6 +23,16 @@ const MAX_CHUNKS: usize = 1024;
 /// Free-list stripes (match the simulator's largest platform).
 const FREE_STRIPES: usize = 32;
 
+thread_local! {
+    /// This thread's id hashed once, so `stripe` runs no SipHash per call.
+    static THREAD_STRIPE: usize = {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::hash::DefaultHasher::new();
+        std::thread::current().id().hash(&mut h);
+        h.finish() as usize
+    };
+}
+
 /// A chain node. Every field a concurrent reader may touch is an
 /// [`HtmCell`], so access is transactional inside HTM mode and
 /// seqlock-consistent elsewhere.
@@ -75,13 +85,10 @@ impl<V: Copy + Default> NodeSlab<V> {
         }
     }
 
+    /// The calling lane's free-list stripe: the simulated lane id, or a
+    /// per-thread hash computed once per thread.
     fn stripe(&self) -> &TickMutex<Vec<u64>> {
-        let id = ale_vtime::lane_id().unwrap_or_else(|| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::hash::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish() as usize
-        });
+        let id = ale_vtime::lane_id().unwrap_or_else(|| THREAD_STRIPE.with(|s| *s));
         &self.free[id % FREE_STRIPES]
     }
 

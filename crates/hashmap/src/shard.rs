@@ -15,7 +15,9 @@
 //! doubled [`Table`] is installed into the shard's append-only
 //! [`TableSet`], and migration proceeds one chain per step, driven
 //! piggyback from subsequent mutating operations (or explicitly via
-//! [`AleShardedMap::migrate_step`]).
+//! [`AleShardedMap::migrate_step`]). A mutation steps the migration only
+//! when its own critical section saw one live, so an idle shard pays no
+//! second critical section per write.
 //!
 //! The shard's migration state is published through an
 //! [`ale_sync::SeqBuffer`] of four words — `[cur_table_slot,
@@ -303,15 +305,26 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         }
     }
 
-    fn insert_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64, val: V, new_id: u64) -> bool {
+    /// Insert or overwrite under exclusion. Returns `(newly inserted,
+    /// migration live)`; the second half is read from the same metadata
+    /// snapshot, so callers skip the migration CS when nothing is moving.
+    fn insert_locked(
+        &self,
+        cs: &CsCtx<'_>,
+        hash: usize,
+        key: u64,
+        val: V,
+        new_id: u64,
+    ) -> (bool, bool) {
         let [cur, prev, cursor, _] = self.meta.load();
+        let migrating = prev != NO_TABLE;
         let curt = self.tables.get(cur);
         let idx = self.route_insert(hash, curt, prev);
         if let (_, Some(id)) = self.find(curt, idx, key) {
             self.overwrite(cs, hash, id, val);
-            return false;
+            return (false, migrating);
         }
-        if prev != NO_TABLE {
+        if migrating {
             let prevt = self.tables.get(prev);
             let ob = hash & prevt.mask;
             if (ob as u64) >= cursor {
@@ -319,7 +332,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
                     // Not yet migrated: overwrite in place — lookups still
                     // consult this table for buckets at or past the cursor.
                     self.overwrite(cs, hash, id, val);
-                    return false;
+                    return (false, migrating);
                 }
             }
         }
@@ -329,28 +342,31 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         self.slab.node(new_id).next.set(curt.bucket(idx).get());
         curt.bucket(idx).set(new_id);
         self.count.set(self.count.get() + 1);
-        true
+        (true, migrating)
     }
 
-    fn remove_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64) -> Option<u64> {
+    /// Unlink under exclusion. Returns `(unlinked node, migration live)`,
+    /// as [`insert_locked`](Self::insert_locked).
+    fn remove_locked(&self, cs: &CsCtx<'_>, hash: usize, key: u64) -> (Option<u64>, bool) {
         let [cur, prev, cursor, _] = self.meta.load();
+        let migrating = prev != NO_TABLE;
         let curt = self.tables.get(cur);
         let cidx = hash & curt.mask;
         if let (p, Some(id)) = self.find(curt, cidx, key) {
             self.unlink(cs, hash, curt, cidx, p, id);
-            return Some(id);
+            return (Some(id), migrating);
         }
-        if prev != NO_TABLE {
+        if migrating {
             let prevt = self.tables.get(prev);
             let ob = hash & prevt.mask;
             if (ob as u64) >= cursor {
                 if let (p, Some(id)) = self.find(prevt, ob, key) {
                     self.unlink(cs, hash, prevt, ob, p, id);
-                    return Some(id);
+                    return (Some(id), migrating);
                 }
             }
         }
-        None
+        (None, migrating)
     }
 
     /// Splice `id` out of `t`'s chain at `idx` inside a conflicting region.
@@ -522,15 +538,17 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         let hash = hash_of(key);
         // Allocate and fill the node *outside* the critical section.
         let new_id = s.slab.alloc(key, val);
-        let inserted = s
-            .lock
-            .cs_plain(scope!("ShardedMap::insert"), CsOptions::new(), |cs| {
-                s.insert_locked(cs, hash, key, val, new_id)
-            });
+        let (inserted, migrating) =
+            s.lock
+                .cs_plain(scope!("ShardedMap::insert"), CsOptions::new(), |cs| {
+                    s.insert_locked(cs, hash, key, val, new_id)
+                });
         if !inserted {
             s.slab.free(new_id);
         }
-        self.advance_migration(si);
+        if migrating {
+            self.advance_migration(si);
+        }
         self.maybe_start_resize(si);
         inserted
     }
@@ -541,11 +559,11 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         let si = self.shard_of(key);
         let s = &self.shards[si];
         let hash = hash_of(key);
-        let removed = s
-            .lock
-            .cs_plain(scope!("ShardedMap::remove"), CsOptions::new(), |cs| {
-                s.remove_locked(cs, hash, key)
-            });
+        let (removed, migrating) =
+            s.lock
+                .cs_plain(scope!("ShardedMap::remove"), CsOptions::new(), |cs| {
+                    s.remove_locked(cs, hash, key)
+                });
         let out = match removed {
             Some(id) => {
                 // Recycle only after the unlink committed.
@@ -554,7 +572,9 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
             }
             None => false,
         };
-        self.advance_migration(si);
+        if migrating {
+            self.advance_migration(si);
+        }
         out
     }
 

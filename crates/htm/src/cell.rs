@@ -15,8 +15,16 @@
 //! Cells hold any `Copy` type up to [`MAX_CELL_SIZE`] bytes. The
 //! value-plus-version layout follows crossbeam's seqlock technique
 //! (volatile value access bracketed by version checks).
+//!
+//! Versions come from two sources (DESIGN.md §15). Commits advance the
+//! global version clock. A non-transactional write on a real thread only
+//! *reads* it and publishes `max(clock + 1, old + 1)`, so spin-lock words
+//! and node stores do not contend on the clock's cache line. Simulated
+//! lanes keep advancing the clock on every write, so simulated schedules
+//! are unchanged. Either way a cell's version strictly increases with
+//! every write.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use ale_vtime::{tick, Event};
@@ -41,14 +49,99 @@ pub(crate) fn is_locked(meta: u64) -> bool {
     meta & LOCKED != 0
 }
 
-/// The TL2 global version clock. Plain stores and transaction commits
-/// advance it; transactions snapshot it at begin and treat any version
-/// newer than the snapshot as a conflict.
+/// The TL2 global version clock. Transaction commits advance it;
+/// transactions snapshot it at begin and treat any version newer than the
+/// snapshot as a conflict. Off the simulator, non-transactional writes
+/// only *read* it (see [`plain_version`] and DESIGN.md §15).
 pub(crate) static GLOBAL_VCLOCK: AtomicU64 = AtomicU64::new(0);
+
+/// An upper bound on every version a real (non-simulated) thread has
+/// published, raised in strides so that crossing it is rare. Simulated
+/// lanes lift the clock to it ([`sim_catch_up`]) before they snapshot or
+/// write, so no cell a real thread wrote earlier, such as a map prefilled
+/// before the simulation, is ever ahead of a simulated snapshot.
+static REAL_CEILING: AtomicU64 = AtomicU64::new(0);
+
+/// How far past a newly published version the ceiling is raised.
+const CEILING_STRIDE: u64 = 1 << 16;
+
+thread_local! {
+    /// The highest version this real thread has published. Its next
+    /// transaction lifts the clock to it before taking the snapshot, so a
+    /// thread never takes a false abort on its own earlier stores.
+    static OWN_TOP: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Current value of the global version clock (exposed for tests/stats).
 pub fn global_version() -> u64 {
     GLOBAL_VCLOCK.load(Ordering::Acquire)
+}
+
+/// The version a non-transactional write publishes, given the cell's
+/// pre-lock meta word `old`. Call with the cell locked (a `SeqCst` lock
+/// CAS): the `SeqCst` clock load below then pairs with a transaction's
+/// `SeqCst` snapshot-then-read, so a writer that locks a cell after a
+/// transaction read it always publishes a version above that
+/// transaction's snapshot.
+///
+/// Real threads never write the shared clock here (TL2's GV5): the version
+/// is `clock + 1`, or `old + 1` when the cell is already ahead of the
+/// clock, so it strictly increases per cell. A transaction that meets a
+/// version ahead of its snapshot raises the clock to it before aborting,
+/// so its retry sees the write as old. Simulated lanes keep `fetch_add`,
+/// which never leaves a cell ahead of the clock, so simulated schedules do
+/// not depend on which source wrote a version.
+#[inline]
+pub(crate) fn plain_version(old: u64) -> u64 {
+    if ale_vtime::is_simulated() {
+        sim_catch_up();
+        let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::SeqCst) + 1;
+        // The catch-up put every earlier version at or below the clock, so
+        // this is `wv`; the floor only guards the strict per-cell increase.
+        wv.max(ver_of(old) + 1)
+    } else {
+        let wv = (GLOBAL_VCLOCK.load(Ordering::SeqCst) + 1).max(ver_of(old) + 1);
+        note_real_version(wv);
+        wv
+    }
+}
+
+/// Record that a real thread published version `v`: in [`OWN_TOP`], and in
+/// [`REAL_CEILING`] (one shared write per stride).
+#[inline]
+pub(crate) fn note_real_version(v: u64) {
+    OWN_TOP.with(|top| top.set(top.get().max(v)));
+    if v > REAL_CEILING.load(Ordering::Relaxed) {
+        REAL_CEILING.fetch_max(v + CEILING_STRIDE, Ordering::Relaxed);
+    }
+}
+
+/// A transaction's snapshot `rv`: a value the clock held, read `SeqCst`
+/// (see [`plain_version`] for the pairing). A real thread first lifts the
+/// clock to its own published versions ([`OWN_TOP`]); a simulated lane to
+/// the real-thread ceiling ([`sim_catch_up`]).
+#[inline]
+pub(crate) fn snapshot() -> u64 {
+    if ale_vtime::is_simulated() {
+        sim_catch_up();
+    } else {
+        let own = OWN_TOP.with(Cell::get);
+        if own > GLOBAL_VCLOCK.load(Ordering::Relaxed) {
+            return GLOBAL_VCLOCK.fetch_max(own, Ordering::SeqCst).max(own);
+        }
+    }
+    GLOBAL_VCLOCK.load(Ordering::SeqCst)
+}
+
+/// Simulated lanes only: lift the clock to the real-thread ceiling. Raising
+/// the clock never changes which versions a snapshot covers relative to
+/// writes made after it, so this is invisible to simulated schedules.
+#[inline]
+fn sim_catch_up() {
+    let c = REAL_CEILING.load(Ordering::Relaxed);
+    if GLOBAL_VCLOCK.load(Ordering::Relaxed) < c {
+        GLOBAL_VCLOCK.fetch_max(c, Ordering::SeqCst);
+    }
 }
 
 /// One word of transactional memory. See the module docs.
@@ -172,18 +265,19 @@ impl<T: Copy> HtmCell<T> {
     }
 
     /// Non-transactional store: lock the cell, write, release with a fresh
-    /// global version (invalidating concurrent transactional readers).
+    /// version from [`plain_version`] (invalidating concurrent
+    /// transactional readers).
     pub(crate) fn plain_store(&self, value: T) {
         let mut spins = 0u32;
-        loop {
+        let m = loop {
             let m = self.meta.load(Ordering::Relaxed);
             if !is_locked(m)
                 && self
                     .meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange_weak(m, m | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
-                break;
+                break m;
             }
             tick(Event::Cas);
             if spins > 6 {
@@ -191,11 +285,10 @@ impl<T: Copy> HtmCell<T> {
             }
             spins += 1;
             std::hint::spin_loop();
-        }
+        };
         // SAFETY: we hold the cell lock; seqlock readers retry while locked.
         unsafe { std::ptr::write_volatile(self.value.get(), value) };
-        let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-        self.meta.store(wv << 1, Ordering::Release);
+        self.meta.store(plain_version(m) << 1, Ordering::Release);
         tick(Event::SharedStore);
     }
 
@@ -227,7 +320,7 @@ impl<T: Copy> HtmCell<T> {
             if !is_locked(m)
                 && self
                     .meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange_weak(m, m | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
                 tick(Event::Cas);
@@ -235,8 +328,7 @@ impl<T: Copy> HtmCell<T> {
                 let seen = unsafe { std::ptr::read_volatile(self.value.get()) };
                 if seen == current {
                     unsafe { std::ptr::write_volatile(self.value.get(), new) };
-                    let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.meta.store(wv << 1, Ordering::Release);
+                    self.meta.store(plain_version(m) << 1, Ordering::Release);
                     return Ok(seen);
                 }
                 // No write happened: restore the original meta so

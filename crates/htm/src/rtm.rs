@@ -17,9 +17,11 @@
 //! * The closure must not panic, make syscalls, or touch enough data to
 //!   overflow the L1-bounded write set — any of these aborts the
 //!   transaction (which is safe, just unsuccessful).
-//! * `HtmCell::plain_store` bumps the global version clock; doing that
-//!   inside a real transaction serialises concurrent transactions on the
-//!   clock's cache line. Prefer read-mostly bodies with this backend.
+//! * `HtmCell::plain_store` reads the global version clock (and a
+//!   simulated lane advances it), so every real transaction that stores
+//!   to a cell has the clock's cache line in its read set and aborts when
+//!   an emulated commit advances it. Prefer read-mostly bodies with this
+//!   backend.
 
 use crate::abort::{AbortCode, AbortStatus};
 

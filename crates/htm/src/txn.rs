@@ -11,7 +11,15 @@
 //!    Capacity and per-access spurious aborts are checked here.
 //! 3. **Commit** — lock the write-set cells (bounded spin, else conflict
 //!    abort), validate the read set, advance the global clock, publish the
-//!    buffered writes, release with the new version.
+//!    buffered writes, release each cell with `max(new clock, old + 1)`.
+//!
+//! Real-thread plain stores do not advance the clock (DESIGN.md §15), so
+//! a cell can carry a version above it. Begin lifts the clock past the
+//! calling thread's own such stores. A read or validation that meets
+//! another thread's version above `rv` first raises the clock to it, then
+//! aborts: the retry snapshots past it, so a stale snapshot costs at most
+//! one false abort. The snapshot and the read's meta load are `SeqCst`,
+//! pairing with the writers' `SeqCst` lock-then-clock-load.
 //!
 //! Aborts unwind with a private payload caught in [`attempt`] — control
 //! never returns into the body, matching real HTM. A process-wide panic
@@ -29,7 +37,9 @@ use ale_vtime::{tick, tick_n, Event, HtmProfile, Rng};
 
 use crate::abort::AbortStatus;
 use crate::besteffort::FailureModel;
-use crate::cell::{is_locked, ver_of, HtmCell, GLOBAL_VCLOCK, LOCKED, MAX_CELL_SIZE};
+use crate::cell::{
+    is_locked, note_real_version, snapshot, ver_of, HtmCell, GLOBAL_VCLOCK, LOCKED, MAX_CELL_SIZE,
+};
 
 /// How long a committer spins on a locked write-set cell before declaring a
 /// conflict. Small: commit-time locks are held only for the publish phase.
@@ -167,7 +177,7 @@ pub fn attempt<R>(
         let mut s = s.borrow_mut();
         (std::mem::take(&mut s.0), std::mem::take(&mut s.1))
     });
-    let rv = GLOBAL_VCLOCK.load(Ordering::Acquire);
+    let rv = snapshot();
     TX.with(|t| {
         *t.borrow_mut() = Some(TxState {
             rv,
@@ -261,8 +271,12 @@ pub(crate) fn tx_read<T: Copy>(cell: &HtmCell<T>) -> T {
         }
 
         let meta = cell.meta_word();
-        let m1 = meta.load(Ordering::Acquire);
-        if is_locked(m1) || ver_of(m1) > tx.rv {
+        let m1 = meta.load(Ordering::SeqCst);
+        if is_locked(m1) {
+            do_abort(AbortStatus::conflict());
+        }
+        if ver_of(m1) > tx.rv {
+            raise_clock(ver_of(m1));
             do_abort(AbortStatus::conflict());
         }
         // SAFETY: value race resolved by the version re-check below.
@@ -356,7 +370,7 @@ fn commit(st: &TxState) -> Result<(), AbortStatus> {
             tick(Event::Cas);
             if !is_locked(m)
                 && meta
-                    .compare_exchange_weak(m, m | LOCKED, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange_weak(m, m | LOCKED, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok()
             {
                 saved_metas.push(m);
@@ -376,35 +390,56 @@ fn commit(st: &TxState) -> Result<(), AbortStatus> {
     tick_n(Event::SharedLoad, st.reads.len() as u64);
     for &rp in &st.reads {
         // SAFETY: as above.
-        let m = unsafe { &*rp }.load(Ordering::Acquire);
-        if is_locked(m) {
-            // Locked by us is fine if the pre-lock version was valid.
+        let m = unsafe { &*rp }.load(Ordering::SeqCst);
+        // Locked by us is fine if the pre-lock version was valid.
+        let seen = if is_locked(m) {
             match st.writes.iter().position(|w| w.meta == rp) {
-                Some(i) if ver_of(saved_metas[i]) <= st.rv => {}
-                _ => {
+                Some(i) => saved_metas[i],
+                None => {
                     unlock(&st.writes[..locked], &saved_metas);
                     return Err(AbortStatus::conflict());
                 }
             }
-        } else if ver_of(m) > st.rv {
+        } else {
+            m
+        };
+        if ver_of(seen) > st.rv {
             unlock(&st.writes[..locked], &saved_metas);
+            raise_clock(ver_of(seen));
             return Err(AbortStatus::conflict());
         }
     }
 
-    // Phase 3: publish.
-    let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::Relaxed) + 1;
+    // Phase 3: publish. Each cell gets `max(wv, old + 1)`: a cell a
+    // non-transactional writer left ahead of the clock still moves forward,
+    // which seqlock readers (`m1 == m2` means "no write in between") need.
+    let wv = GLOBAL_VCLOCK.fetch_add(1, Ordering::SeqCst) + 1;
     tick_n(Event::SharedStore, st.writes.len() as u64);
-    for w in &st.writes {
+    let mut top = wv;
+    for (w, &old) in st.writes.iter().zip(&saved_metas) {
         // SAFETY: we hold the cell lock; readers retry while locked.
         unsafe {
             std::ptr::copy_nonoverlapping(w.buf.as_ptr(), w.value_ptr, w.size);
         }
         fence(Ordering::Release);
+        let v = wv.max(ver_of(old) + 1);
+        top = top.max(v);
         // SAFETY: as above.
-        unsafe { &*w.meta }.store(wv << 1, Ordering::Release);
+        unsafe { &*w.meta }.store(v << 1, Ordering::Release);
+    }
+    if top > wv && !ale_vtime::is_simulated() {
+        note_real_version(top);
     }
     Ok(())
+}
+
+/// Raise the global clock to `ver`, a version found ahead of a snapshot,
+/// before aborting: the retry's snapshot then covers it, so a stale
+/// snapshot costs at most one false abort. A no-op under simulation, where
+/// every version is already at or below the clock.
+#[cold]
+fn raise_clock(ver: u64) {
+    GLOBAL_VCLOCK.fetch_max(ver, Ordering::SeqCst);
 }
 
 fn unlock(writes: &[WriteEntry], saved_metas: &[u64]) {
@@ -418,6 +453,7 @@ fn unlock(writes: &[WriteEntry], saved_metas: &[u64]) {
 mod tests {
     use super::*;
     use crate::abort::AbortCode;
+    use crate::cell::global_version;
     use ale_vtime::Platform;
 
     fn profile() -> HtmProfile {
@@ -690,5 +726,192 @@ mod tests {
             }
         });
         assert_eq!(a.get() + b.get(), 100);
+    }
+
+    // --- the version rule on real threads (DESIGN.md §15) ---------------
+
+    fn version(cell: &HtmCell<impl Copy>) -> u64 {
+        ver_of(cell.meta_word().load(Ordering::SeqCst))
+    }
+
+    /// Commit `f` with retry-until-commit; returns the aborts it took.
+    fn commit_with_retry<R>(p: &HtmProfile, r: &mut Rng, mut f: impl FnMut() -> R) -> u32 {
+        let mut aborts = 0;
+        while attempt(p, r, &mut f).is_err() {
+            aborts += 1;
+        }
+        aborts
+    }
+
+    #[test]
+    fn plain_and_committed_writes_never_tear_a_wide_cell() {
+        // Two writers alternate plain stores and committed transactions on
+        // one 16-byte cell while two seqlock readers check every value: a
+        // publish that reused the pre-lock version (no `old + 1` floor)
+        // would let a reader accept a value torn across two writes. The
+        // race window is a few instructions wide, so the deterministic
+        // check of the floor is the strictly-increasing test below.
+        let cell = HtmCell::new((0u64, 0u64));
+        let p = profile();
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let (cell, p) = (&cell, p.clone());
+                s.spawn(move || {
+                    let mut r = Rng::new(w);
+                    for i in 0..10_000u64 {
+                        let x = w << 32 | i;
+                        if i % 2 == 0 {
+                            cell.set((x, x));
+                        } else {
+                            commit_with_retry(&p, &mut r, || cell.set((x, x)));
+                        }
+                    }
+                });
+            }
+            for _ in 0..2 {
+                let cell = &cell;
+                s.spawn(move || {
+                    for _ in 0..40_000 {
+                        let (a, b) = cell.get();
+                        assert_eq!(a, b, "torn read: ({a}, {b})");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn versions_strictly_increase_across_plain_and_commit_writes() {
+        // One thread writes `a` with a seeded mix of plain stores, plain
+        // CASes and blind commits (a commit that read `a` would meet the
+        // ahead version and raise the clock first); another keeps moving
+        // the clock (commits) and writing ahead of it (plain stores) on `b`.
+        let a = HtmCell::new(0u64);
+        let b = HtmCell::new(0u64);
+        let p = profile();
+        std::thread::scope(|s| {
+            let (b, p2) = (&b, p.clone());
+            s.spawn(move || {
+                let mut r = Rng::new(7);
+                for i in 0..5_000u64 {
+                    if i % 3 == 0 {
+                        b.set(i);
+                    } else {
+                        commit_with_retry(&p2, &mut r, || b.set(b.get() + 1));
+                    }
+                }
+            });
+            let mut r = Rng::new(8);
+            let mut last = version(&a);
+            for i in 0..5_000u64 {
+                match r.gen_range(3) {
+                    0 => a.set(i),
+                    1 => assert!(a.compare_exchange(a.get(), i).is_ok()),
+                    _ => {
+                        commit_with_retry(&p, &mut r.fork(i), || a.set(i));
+                    }
+                }
+                let v = version(&a);
+                assert!(
+                    v > last,
+                    "write {i} did not advance the version: {last} -> {v}"
+                );
+                last = v;
+            }
+        });
+    }
+
+    #[test]
+    fn a_version_ahead_of_the_clock_costs_one_abort() {
+        // Real-thread plain stores read the clock but never advance it, so
+        // many stores to one cell leave it far ahead of the clock (far
+        // enough that concurrent tests' commits cannot catch up). Another
+        // thread writes: a thread's own stores are lifted into its next
+        // snapshot and cost no abort.
+        let c = HtmCell::new(0u64);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..(1u64 << 16) {
+                    c.set(i);
+                }
+            });
+        });
+        assert!(version(&c) > global_version(), "cell must be ahead");
+        let (p, mut r) = (profile(), rng());
+        let first = attempt(&p, &mut r, || c.get());
+        assert_eq!(first.unwrap_err().code, AbortCode::Conflict);
+        assert!(
+            global_version() >= version(&c),
+            "the abort must raise the clock to the version it met"
+        );
+        assert_eq!(attempt(&p, &mut r, || c.get()), Ok((1 << 16) - 1));
+    }
+
+    #[test]
+    fn own_stores_cost_no_abort() {
+        let c = HtmCell::new(0u64);
+        let (p, mut r) = (profile(), rng());
+        for i in 1..100u64 {
+            c.set(i);
+            assert_eq!(attempt(&p, &mut r, || c.get()), Ok(i));
+        }
+    }
+
+    #[test]
+    fn simulation_is_unaffected_by_real_threads_writing() {
+        use ale_vtime::{Sim, SimReport};
+        // A structure written on a real thread before the simulation (its
+        // versions ahead of the clock), then contended transactions and
+        // plain stores inside it.
+        let run = || -> SimReport<(u32, u64)> {
+            let cells: Vec<HtmCell<u64>> = (0..4).map(HtmCell::new).collect();
+            for (i, c) in cells.iter().enumerate() {
+                for k in 0..100 {
+                    c.set(i as u64 + k);
+                }
+            }
+            let p = profile();
+            Sim::new(Platform::testbed(), 4).with_seed(5).run(|lane| {
+                let mut r = lane.rng().clone();
+                let mut aborts = 0;
+                for i in 0..300u64 {
+                    let k = r.gen_range(4) as usize;
+                    if i % 5 == 0 {
+                        cells[k].set(i);
+                    } else {
+                        aborts += commit_with_retry(&p, &mut r, || {
+                            let v = cells[k].get();
+                            cells[(k + 1) % 4].set(v + 1);
+                        });
+                    }
+                }
+                (aborts, cells.iter().map(|c| c.get()).sum())
+            })
+        };
+        let quiet = run();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let noisy = std::thread::scope(|s| {
+            // Plain stores ahead of the clock, and commits moving it.
+            s.spawn(|| {
+                let own = HtmCell::new(0u64);
+                let (p, mut r) = (profile(), rng());
+                let mut i = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    own.set(i);
+                    commit_with_retry(&p, &mut r, || own.set(own.get() + 1));
+                    i += 1;
+                }
+            });
+            let report = run();
+            stop.store(true, Ordering::Relaxed);
+            report
+        });
+        assert_eq!(quiet.results, noisy.results);
+        assert_eq!(quiet.makespan_ns, noisy.makespan_ns);
+        assert_eq!(quiet.lane_clocks, noisy.lane_clocks);
+        assert!(
+            quiet.results.iter().any(|&(aborts, _)| aborts > 0),
+            "the workload must contend to mean anything"
+        );
     }
 }

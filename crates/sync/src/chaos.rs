@@ -42,9 +42,18 @@ mod tests {
     use super::*;
     use crate::seqlock::SeqVersion;
     use ale_vtime::{Platform, Sim};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The publication delay is process-global: tests that write it hold
+    /// this lock so one cannot change it while another is measuring.
+    fn delay_guard() -> MutexGuard<'static, ()> {
+        static DELAY_TESTS: Mutex<()> = Mutex::new(());
+        DELAY_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn delay_stretches_conflicting_regions_in_virtual_time() {
+        let _serial = delay_guard();
         let span = |delay| {
             set_publication_delay(delay);
             let r = Sim::new(Platform::testbed(), 1).run(|_| {
@@ -67,6 +76,7 @@ mod tests {
 
     #[test]
     fn zero_delay_is_free() {
+        let _serial = delay_guard();
         set_publication_delay(0);
         assert_eq!(publication_delay(), 0);
         stall(); // no lane installed: must not panic or tick
