@@ -7,7 +7,9 @@
 //! runs are shorter, so the warm-up keeps the comparison fair). Static
 //! variants get the same warm-up for symmetry.
 
-use ale_core::Report;
+use std::sync::Arc;
+
+use ale_core::{Ale, Report};
 use ale_hashmap::{AleHashMap, AleShardedMap, BaselineHashMap, MapConfig, ShardedMapConfig};
 use ale_kyoto::{AleCacheDb, DbConfig, KyotoDb, TrylockspinDb, WickedConfig};
 use ale_vtime::{Platform, Rng, Sim, Zipf};
@@ -193,120 +195,32 @@ pub fn run_hashmap_mods(
     warmup_per_lane: u64,
     seed: u64,
 ) -> RunResult {
-    let kind = platform.kind.name();
     let buckets = workload
         .buckets
         .unwrap_or((workload.key_space as usize / 4).clamp(64, 1 << 16));
-
-    if variant == Variant::Uninstrumented {
-        let map: BaselineHashMap<u64> =
-            BaselineHashMap::new(buckets, workload.key_space * 2 + 4096);
-        for k in (0..workload.key_space).step_by(2) {
-            map.insert(k, k.wrapping_mul(31));
-        }
-        let zipf = workload.key_sampler();
-        let body = |lane: &mut ale_vtime::Lane, ops: u64| {
-            let mut rng = lane.rng().clone();
-            let mut sink = 0u64;
-            for _ in 0..ops {
-                workload.run_op(
-                    zipf.as_ref(),
-                    &mut rng,
-                    &mut |k| {
-                        let mut v = 0;
-                        if map.get(k, &mut v) {
-                            sink ^= v;
-                        }
-                    },
-                    &mut |k| {
-                        map.insert(k, k.wrapping_mul(31));
-                    },
-                    &mut |k| {
-                        map.remove(k);
-                    },
-                );
-            }
-            std::hint::black_box(sink);
-        };
-        if warmup_per_lane > 0 {
-            Sim::new(platform.clone(), threads)
-                .with_seed(seed)
-                .with_slack(BENCH_SLACK_NS)
-                .run(|lane| body(lane, warmup_per_lane));
-        }
-        let report = Sim::new(platform, threads)
-            .with_seed(seed ^ 0xBEEF)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, ops_per_lane));
-        let total = ops_per_lane * threads as u64;
-        return RunResult {
-            variant: variant.name(),
-            platform: kind,
-            threads,
-            total_ops: total,
-            makespan_ns: report.makespan_ns,
-            mops: report.throughput(total) / 1e6,
-            report: None,
-        };
-    }
-
-    let ale = variant.build_ale_mods(platform.clone(), seed, mods);
-    let map: AleHashMap<u64> = AleHashMap::new(
-        &ale,
-        MapConfig::new(buckets)
-            .with_capacity(workload.key_space * 2 + 4096)
-            .with_version_stripes(workload.version_stripes),
-    );
-    for k in (0..workload.key_space).step_by(2) {
-        map.insert(k, k.wrapping_mul(31));
-    }
-    // Setup traffic (single-threaded, real-time, insert-only) must not
-    // pollute what the policy learns about the measured workload.
-    ale.reset_statistics();
-    let zipf = workload.key_sampler();
-    let body = |lane: &mut ale_vtime::Lane, ops: u64| {
-        let mut rng = lane.rng().clone();
-        let mut sink = 0u64;
-        for _ in 0..ops {
-            workload.run_op(
-                zipf.as_ref(),
-                &mut rng,
-                &mut |k| {
-                    let mut v = 0;
-                    if map.get(k, &mut v) {
-                        sink ^= v;
-                    }
-                },
-                &mut |k| {
-                    map.insert(k, k.wrapping_mul(31));
-                },
-                &mut |k| {
-                    map.remove(k);
-                },
-            );
-        }
-        std::hint::black_box(sink);
+    let capacity = workload.key_space * 2 + 4096;
+    let ale = (variant != Variant::Uninstrumented)
+        .then(|| variant.build_ale_mods(platform.clone(), seed, mods));
+    let map: Box<dyn BenchMap> = match &ale {
+        None => Box::new(BaselineHashMap::<u64>::new(buckets, capacity)),
+        Some(ale) => Box::new(AleHashMap::<u64>::new(
+            ale,
+            MapConfig::new(buckets)
+                .with_capacity(capacity)
+                .with_version_stripes(workload.version_stripes),
+        )),
     };
-    if warmup_per_lane > 0 {
-        Sim::new(platform.clone(), threads)
-            .with_seed(seed)
-            .with_slack(BENCH_SLACK_NS)
-            .run(|lane| body(lane, warmup_per_lane));
-    }
-    let report = Sim::new(platform, threads)
-        .with_seed(seed ^ 0xBEEF)
-        .with_slack(BENCH_SLACK_NS)
-        .run(|lane| body(lane, ops_per_lane));
-    let total = ops_per_lane * threads as u64;
-    RunResult {
-        variant: variant.name(),
-        platform: kind,
+    drive(
+        &*map,
+        ale.as_ref(),
+        variant.name(),
+        platform,
         threads,
-        total_ops: total,
-        makespan_ns: report.makespan_ns,
-        mops: report.throughput(total) / 1e6,
-        report: Some(ale.report()),
-    }
+        workload,
+        ops_per_lane,
+        warmup_per_lane,
+        seed,
+    )
 }
 
 /// Execute the HashMap microbenchmark against the *sharded* map: the same
@@ -339,7 +253,6 @@ pub fn run_sharded(
         variant != Variant::Uninstrumented,
         "the sharded map has no uninstrumented baseline"
     );
-    let kind = platform.kind.name();
     let total_buckets = workload
         .buckets
         .unwrap_or((workload.key_space as usize / 4).clamp(64, 1 << 16));
@@ -353,10 +266,67 @@ pub fn run_sharded(
             .with_capacity_per_shard((workload.key_space * 2) / shards as u64 + 4096)
             .with_version_stripes(workload.version_stripes),
     );
+    let variant = format!("Sharded{}x-{}", map.shard_count(), variant.name());
+    drive(
+        &map,
+        Some(&ale),
+        variant,
+        platform,
+        threads,
+        workload,
+        ops_per_lane,
+        warmup_per_lane,
+        seed,
+    )
+}
+
+/// The maps the HashMap microbenchmark drives.
+trait BenchMap: Sync {
+    fn get(&self, key: u64, ret_val: &mut u64) -> bool;
+    fn insert(&self, key: u64, val: u64) -> bool;
+    fn remove(&self, key: u64) -> bool;
+}
+
+macro_rules! bench_map {
+    ($($ty:ty),*) => {$(
+        impl BenchMap for $ty {
+            fn get(&self, key: u64, ret_val: &mut u64) -> bool {
+                <$ty>::get(self, key, ret_val)
+            }
+            fn insert(&self, key: u64, val: u64) -> bool {
+                <$ty>::insert(self, key, val)
+            }
+            fn remove(&self, key: u64) -> bool {
+                <$ty>::remove(self, key)
+            }
+        }
+    )*};
+}
+
+bench_map!(BaselineHashMap<u64>, AleHashMap<u64>, AleShardedMap<u64>);
+
+/// Prefill half the key space, then run the warm-up and the measured pass
+/// of `workload` against `map`. Statistics gathered during the prefill
+/// (single-threaded, real-time, insert-only setup traffic) are reset so
+/// they do not pollute what the policy learns.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    map: &dyn BenchMap,
+    ale: Option<&Arc<Ale>>,
+    variant: String,
+    platform: Platform,
+    threads: usize,
+    workload: &HashMapWorkload,
+    ops_per_lane: u64,
+    warmup_per_lane: u64,
+    seed: u64,
+) -> RunResult {
     for k in (0..workload.key_space).step_by(2) {
         map.insert(k, k.wrapping_mul(31));
     }
-    ale.reset_statistics();
+    if let Some(ale) = ale {
+        ale.reset_statistics();
+    }
     let zipf = workload.key_sampler();
     let body = |lane: &mut ale_vtime::Lane, ops: u64| {
         let mut rng = lane.rng().clone();
@@ -387,19 +357,20 @@ pub fn run_sharded(
             .with_slack(BENCH_SLACK_NS)
             .run(|lane| body(lane, warmup_per_lane));
     }
+    let kind = platform.kind.name();
     let report = Sim::new(platform, threads)
         .with_seed(seed ^ 0xBEEF)
         .with_slack(BENCH_SLACK_NS)
         .run(|lane| body(lane, ops_per_lane));
     let total = ops_per_lane * threads as u64;
     RunResult {
-        variant: format!("Sharded{}x-{}", map.shard_count(), variant.name()),
+        variant,
         platform: kind,
         threads,
         total_ops: total,
         makespan_ns: report.makespan_ns,
         mops: report.throughput(total) / 1e6,
-        report: Some(ale.report()),
+        report: ale.map(|a| a.report()),
     }
 }
 

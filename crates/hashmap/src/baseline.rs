@@ -5,103 +5,69 @@
 
 use ale_sync::{RawLock, SpinLock};
 
-use crate::node::{NodeSlab, NIL};
+use crate::node::NodeSlab;
+use crate::table::{hash_of, Table};
 
 /// Plain single-lock chained hash map.
 pub struct BaselineHashMap<V: Copy + Default + Send + 'static> {
     lock: SpinLock,
-    buckets: Vec<ale_htm::HtmCell<u64>>,
+    table: Table,
     slab: NodeSlab<V>,
-    mask: usize,
 }
 
 impl<V: Copy + Default + Send + 'static> BaselineHashMap<V> {
     pub fn new(buckets: usize, capacity: u64) -> Self {
-        let buckets = buckets.next_power_of_two();
         BaselineHashMap {
             lock: SpinLock::new(),
-            buckets: (0..buckets).map(|_| ale_htm::HtmCell::new(NIL)).collect(),
+            table: Table::new(buckets),
             slab: NodeSlab::with_capacity(capacity),
-            mask: buckets - 1,
         }
     }
 
     #[inline]
     fn bucket_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
+        hash_of(key) & self.table.mask
     }
 
     pub fn get(&self, key: u64, ret_val: &mut V) -> bool {
         self.lock.acquire();
-        let idx = self.bucket_of(key);
-        let mut bp = self.buckets[idx].get();
-        let mut found = false;
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                *ret_val = node.val.get();
-                found = true;
-                break;
-            }
-            bp = node.next.get();
+        let (_, hit) = self.table.find(&self.slab, self.bucket_of(key), key);
+        if let Some(id) = hit {
+            *ret_val = self.slab.node(id).val.get();
         }
         self.lock.release();
-        found
+        hit.is_some()
     }
 
     pub fn insert(&self, key: u64, val: V) -> bool {
         let new_id = self.slab.alloc(key, val);
         self.lock.acquire();
         let idx = self.bucket_of(key);
-        let mut bp = self.buckets[idx].get();
-        let mut inserted = true;
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                node.val.set(val);
-                inserted = false;
-                break;
-            }
-            bp = node.next.get();
-        }
-        if inserted {
-            self.slab.node(new_id).next.set(self.buckets[idx].get());
-            self.buckets[idx].set(new_id);
+        let (_, hit) = self.table.find(&self.slab, idx, key);
+        match hit {
+            Some(id) => self.slab.node(id).val.set(val),
+            None => self.table.link_front(&self.slab, idx, new_id),
         }
         self.lock.release();
-        if !inserted {
+        if hit.is_some() {
             self.slab.free(new_id);
         }
-        inserted
+        hit.is_none()
     }
 
     pub fn remove(&self, key: u64) -> bool {
         self.lock.acquire();
         let idx = self.bucket_of(key);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                break;
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        let removed = bp != NIL;
-        if removed {
-            let next = self.slab.node(bp).next.get();
-            if prev == NIL {
-                self.buckets[idx].set(next);
-            } else {
-                self.slab.node(prev).next.set(next);
-            }
+        let (prev, hit) = self.table.find(&self.slab, idx, key);
+        if let Some(id) = hit {
+            self.table
+                .unlink(&self.slab, idx, prev, id, |splice| splice());
         }
         self.lock.release();
-        if removed {
-            self.slab.free(bp);
+        if let Some(id) = hit {
+            self.slab.free(id);
         }
-        removed
+        hit.is_some()
     }
 }
 

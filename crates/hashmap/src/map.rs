@@ -25,11 +25,11 @@
 
 use std::sync::Arc;
 
-use ale_core::{scope, Ale, AleLock, CsOptions, CsOutcome, ScopeId};
-use ale_htm::HtmCell;
+use ale_core::{scope, Ale, AleLock, CsCtx, CsOptions, CsOutcome, ScopeId};
 use ale_sync::{CachePadded, SeqVersion, SpinLock};
 
-use crate::node::{NodeSlab, NIL};
+use crate::node::NodeSlab;
+use crate::table::{hash_of, Table};
 
 /// Configuration for [`AleHashMap`].
 #[derive(Debug, Clone)]
@@ -72,86 +72,150 @@ impl MapConfig {
     }
 }
 
-/// The paper's HashMap: one lock, chained buckets, three execution modes.
-///
-/// Values are `Copy` and at most 16 bytes (they live in
-/// [`HtmCell`]s); keys are `u64`.
-pub struct AleHashMap<V: Copy + Default + Send + 'static> {
-    lock: AleLock<SpinLock>,
-    buckets: Vec<HtmCell<u64>>,
+/// The state every single-lock chained map keeps around its [`Table`]s:
+/// the ALE lock, the node slab, and the version stripes SWOpt readers
+/// validate against. [`AleHashMap`] is this plus one table; a shard of
+/// [`AleShardedMap`](crate::AleShardedMap) is this plus a table set and its
+/// table-pointer seqlock.
+pub(crate) struct MapCore<V: Copy + Default + Send + 'static> {
+    pub(crate) lock: AleLock<SpinLock>,
+    pub(crate) slab: NodeSlab<V>,
     /// Per-stripe version words, each padded onto its own cache line
     /// (DESIGN.md §14): stripes exist to split writer traffic, which is
     /// defeated if neighbouring stripes share a line.
     vers: Vec<CachePadded<SeqVersion>>,
-    slab: NodeSlab<V>,
-    mask: usize,
     ver_mask: usize,
+}
+
+impl<V: Copy + Default + Send + 'static> MapCore<V> {
+    /// A lock labelled `label`, a slab of `capacity` nodes, and `stripes`
+    /// version words (a power of two).
+    pub(crate) fn new(ale: &Arc<Ale>, label: &'static str, capacity: u64, stripes: usize) -> Self {
+        debug_assert!(stripes.is_power_of_two());
+        MapCore {
+            lock: ale.new_lock(label, SpinLock::new()),
+            slab: NodeSlab::with_capacity(capacity),
+            vers: (0..stripes)
+                .map(|_| CachePadded::new(SeqVersion::new()))
+                .collect(),
+            ver_mask: stripes - 1,
+        }
+    }
+
+    /// The version stripe guarding `hash`. A bucket index works as well
+    /// whenever there are no more stripes than buckets: masking either
+    /// keeps the same low bits.
+    #[inline]
+    pub(crate) fn ver_of(&self, hash: usize) -> &SeqVersion {
+        &self.vers[hash & self.ver_mask]
+    }
+
+    /// Run `f` as a conflicting action on `hash`'s stripe. The version is
+    /// bumped around it only when a SWOpt reader could observe it (§3.3's
+    /// bump elision).
+    #[inline]
+    pub(crate) fn conflicting<R>(&self, cs: &CsCtx<'_>, hash: usize, f: impl FnOnce() -> R) -> R {
+        let ver = self.ver_of(hash);
+        let bump = cs.could_swopt_be_running();
+        if bump {
+            ver.begin_conflicting_action();
+        }
+        let r = f();
+        if bump {
+            ver.end_conflicting_action();
+        }
+        r
+    }
+
+    /// Overwrite `id`'s value: the conflicting region a SWOpt reader about
+    /// to copy the value must notice.
+    #[inline]
+    pub(crate) fn overwrite(&self, cs: &CsCtx<'_>, hash: usize, id: u64, val: V) {
+        self.conflicting(cs, hash, || self.slab.node(id).val.set(val));
+    }
+
+    /// Splice `id` (found after `prev`) out of `t`'s chain `idx` under
+    /// exclusion. Only the store that unlinks it is the conflicting action
+    /// (the paper's §3.2 example).
+    #[inline]
+    pub(crate) fn unlink(
+        &self,
+        cs: &CsCtx<'_>,
+        hash: usize,
+        t: &Table,
+        idx: usize,
+        prev: u64,
+        id: u64,
+    ) {
+        t.unlink(&self.slab, idx, prev, id, |splice| {
+            // Self-test mutation (`mut-skip-version-bump`): unlinking
+            // without bumping the version makes concurrent SWOpt readers
+            // follow a recycled node unnoticed — ale-check must catch it.
+            if cfg!(feature = "mut-skip-version-bump") {
+                splice()
+            } else {
+                self.conflicting(cs, hash, splice)
+            }
+        });
+    }
+
+    /// Are all version stripes even (no conflicting region left open)?
+    pub(crate) fn versions_even(&self) -> bool {
+        self.vers.iter().all(|v| v.read(false).is_multiple_of(2))
+    }
+}
+
+/// The paper's HashMap: one lock, chained buckets, three execution modes.
+///
+/// Values are `Copy` and at most 16 bytes (they live in
+/// [`HtmCell`](ale_htm::HtmCell)s); keys are `u64`.
+pub struct AleHashMap<V: Copy + Default + Send + 'static> {
+    core: MapCore<V>,
+    table: Table,
 }
 
 impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// Create a map registered with `ale` under the lock label `tblLock`.
     pub fn new(ale: &Arc<Ale>, config: MapConfig) -> Self {
-        let buckets = config.buckets.next_power_of_two();
-        let stripes = config.version_stripes.next_power_of_two().min(buckets);
+        let table = Table::new(config.buckets);
+        // More stripes than buckets would leave stripes no bucket uses.
+        let stripes = config.version_stripes.next_power_of_two().min(table.len());
         AleHashMap {
-            lock: ale.new_lock("tblLock", SpinLock::new()),
-            buckets: (0..buckets).map(|_| HtmCell::new(NIL)).collect(),
-            vers: (0..stripes)
-                .map(|_| CachePadded::new(SeqVersion::new()))
-                .collect(),
-            slab: NodeSlab::with_capacity(config.capacity),
-            mask: buckets - 1,
-            ver_mask: stripes - 1,
+            core: MapCore::new(ale, "tblLock", config.capacity, stripes),
+            table,
         }
     }
 
     #[inline]
     fn bucket_of(&self, key: u64) -> usize {
-        // Fibonacci hashing.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
+        hash_of(key) & self.table.mask
     }
 
-    #[inline]
-    fn ver_of(&self, bucket: usize) -> &SeqVersion {
-        &self.vers[bucket & self.ver_mask]
-    }
-
-    /// The paper's Figure 1: one source, two instantiations. Returns 1 if
-    /// found (value copied to `ret_val`), 0 if absent, -1 on SWOpt
+    /// The paper's Figure 1: one source, two instantiations. `Some(found)`
+    /// (value copied to `ret_val` on a hit), or `None` on SWOpt
     /// interference.
     // ale-lint: swopt
-    fn get_impl<const SWOPT: bool>(&self, key: u64, ret_val: &mut V) -> i32 {
+    fn get_impl<const SWOPT: bool>(&self, key: u64, ret_val: &mut V) -> Option<bool> {
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
+        let ver = self.core.ver_of(idx);
         let v = if SWOPT { ver.read(true) } else { 0 };
-        let mut bp = self.buckets[idx].get();
-        if SWOPT && !ver.validate(v) {
-            return -1;
+        let valid = || !SWOPT || ver.validate(v);
+        let (_, hit) = self
+            .table
+            .find_validated(&self.core.slab, idx, key, valid)?;
+        let Some(id) = hit else {
+            return Some(false);
+        };
+        let val = self.core.slab.node(id).val.get();
+        // Self-test mutation (`mut-skip-validate`): dropping the validation
+        // after copying the value lets a SWOpt reader return data from a
+        // node recycled mid-read — ale-check's value-integrity oracle must
+        // catch it.
+        if SWOPT && !cfg!(feature = "mut-skip-validate") && !ver.validate(v) {
+            return None;
         }
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            let k = node.key.get();
-            if SWOPT && !ver.validate(v) {
-                return -1;
-            }
-            if k == key {
-                let val = node.val.get();
-                // Self-test mutation (`mut-skip-validate`): dropping the
-                // validation after copying the value lets a SWOpt reader
-                // return data from a node recycled mid-read — ale-check's
-                // value-integrity oracle must catch it.
-                if SWOPT && !cfg!(feature = "mut-skip-validate") && !ver.validate(v) {
-                    return -1;
-                }
-                *ret_val = val;
-                return 1;
-            }
-            bp = node.next.get();
-            if SWOPT && !ver.validate(v) {
-                return -1;
-            }
-        }
-        0
+        *ret_val = val;
+        Some(true)
     }
 
     /// Look up `key`, copying its value into `ret_val`. Returns whether the
@@ -163,7 +227,7 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// `get` under a caller-chosen scope (the `BEGIN_CS_NAMED` pattern:
     /// distinct call sites can adapt independently).
     pub fn get_scoped(&self, scope: &'static ScopeId, key: u64, ret_val: &mut V) -> bool {
-        self.lock.cs(
+        self.core.lock.cs(
             scope,
             CsOptions::new().with_swopt().non_conflicting(),
             |cs| {
@@ -172,10 +236,9 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                 } else {
                     self.get_impl::<false>(key, ret_val)
                 };
-                if r < 0 {
-                    CsOutcome::SwOptFail
-                } else {
-                    CsOutcome::Done(r == 1)
+                match r {
+                    Some(found) => CsOutcome::Done(found),
+                    None => CsOutcome::SwOptFail,
                 }
             },
         )
@@ -186,38 +249,16 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     pub fn insert(&self, key: u64, val: V) -> bool {
         // Allocate and fill the node *outside* the critical section; only
         // the link is published inside it.
-        let new_id = self.slab.alloc(key, val);
+        let new_id = self.core.slab.alloc(key, val);
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
         let inserted = self
+            .core
             .lock
             .cs_plain(scope!("HashMap::insert"), CsOptions::new(), |cs| {
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        // Overwrite: this is the conflicting region — a SWOpt
-                        // reader may be about to copy this value.
-                        let bump = cs.could_swopt_be_running();
-                        if bump {
-                            ver.begin_conflicting_action();
-                        }
-                        node.val.set(val);
-                        if bump {
-                            ver.end_conflicting_action();
-                        }
-                        return false;
-                    }
-                    bp = node.next.get();
-                }
-                // Link at head. Publishing a fully-initialised node is not a
-                // conflicting action: readers see the old or the new chain.
-                self.slab.node(new_id).next.set(self.buckets[idx].get());
-                self.buckets[idx].set(new_id);
-                true
+                self.insert_locked(cs, idx, key, val, new_id)
             });
         if !inserted {
-            self.slab.free(new_id);
+            self.core.slab.free(new_id);
         }
         inserted
     }
@@ -226,51 +267,13 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// §3.2 example: only the unlink is bracketed as conflicting.
     pub fn remove(&self, key: u64) -> bool {
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
         let removed = self
+            .core
             .lock
             .cs_plain(scope!("HashMap::remove"), CsOptions::new(), |cs| {
-                // <search a node containing the given key>
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
-                }
-                if bp == NIL {
-                    return None;
-                }
-                // BeginConflictingAction(); unlink; EndConflictingAction();
-                let next = self.slab.node(bp).next.get();
-                // Self-test mutation (`mut-skip-version-bump`): unlinking
-                // without bumping the version makes concurrent SWOpt readers
-                // follow a recycled node unnoticed — ale-check must catch it.
-                let bump = cs.could_swopt_be_running() && !cfg!(feature = "mut-skip-version-bump");
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                if prev == NIL {
-                    self.buckets[idx].set(next);
-                } else {
-                    self.slab.node(prev).next.set(next);
-                }
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                Some(bp)
+                self.remove_locked(cs, idx, key)
             });
-        match removed {
-            Some(id) => {
-                // Recycle only after the unlink committed.
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.free_removed(removed)
     }
 
     // ---------------------------------------------------------------------
@@ -282,8 +285,7 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// be needed, abort out of SWOpt and redo pessimistically.
     pub fn remove_self_abort(&self, key: u64) -> bool {
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
-        let removed = self.lock.cs(
+        let removed = self.core.lock.cs(
             scope!("HashMap::remove_self_abort"),
             CsOptions::new().with_swopt(),
             |cs| {
@@ -291,48 +293,16 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                     // Optimistic miss-check: absent keys need no mutation.
                     let mut unused = V::default();
                     return match self.get_impl::<true>(key, &mut unused) {
-                        -1 => CsOutcome::SwOptFail,
-                        0 => CsOutcome::Done(None),
-                        _ => CsOutcome::SwOptSelfAbort, // present: must mutate
+                        None => CsOutcome::SwOptFail,
+                        Some(false) => CsOutcome::Done(None),
+                        Some(true) => CsOutcome::SwOptSelfAbort, // must mutate
                     };
                 }
                 // Pessimistic path: identical to `remove`.
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    if node.key.get() == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
-                }
-                if bp == NIL {
-                    return CsOutcome::Done(None);
-                }
-                let next = self.slab.node(bp).next.get();
-                let bump = cs.could_swopt_be_running();
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                if prev == NIL {
-                    self.buckets[idx].set(next);
-                } else {
-                    self.slab.node(prev).next.set(next);
-                }
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                CsOutcome::Done(Some(bp))
+                CsOutcome::Done(self.remove_locked(cs, idx, key))
             },
         );
-        match removed {
-            Some(id) => {
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.free_removed(removed)
     }
 
     /// Remove with a **SWOpt search prefix** and a nested, non-SWOpt
@@ -341,42 +311,27 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
     /// after reporting the SWOpt failure.
     pub fn remove_fine(&self, key: u64) -> bool {
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
-        let removed = self.lock.cs(
+        let ver = self.core.ver_of(idx);
+        let removed = self.core.lock.cs(
             scope!("HashMap::remove_fine"),
             CsOptions::new().with_swopt(),
             |cs| {
                 if !cs.is_swopt() {
                     // HTM/Lock execution: plain pessimistic removal.
-                    return CsOutcome::Done(self.remove_pessimistic(cs, idx, key));
+                    return CsOutcome::Done(self.remove_locked(cs, idx, key));
                 }
                 // SWOpt search prefix.
                 let v = ver.read(true);
-                let mut prev = NIL;
-                let mut bp = self.buckets[idx].get();
-                if !ver.validate(v) {
+                let valid = || ver.validate(v);
+                let Some((prev, hit)) = self.table.find_validated(&self.core.slab, idx, key, valid)
+                else {
                     return CsOutcome::SwOptFail;
-                }
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    let k = node.key.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                    if k == key {
-                        break;
-                    }
-                    prev = bp;
-                    bp = node.next.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                }
-                if bp == NIL {
+                };
+                let Some(bp) = hit else {
                     return CsOutcome::Done(None);
-                }
+                };
                 // Nested critical section (no SWOpt path) for the unlink.
-                let unlinked = self.lock.cs_plain(
+                let unlinked = self.core.lock.cs_plain(
                     scope!("HashMap::remove_fine::unlink"),
                     CsOptions::new(),
                     |ics| {
@@ -388,23 +343,10 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                         // The version said nothing conflicting happened,
                         // but non-conflicting inserts don't bump it: verify
                         // the splice point is still what we found.
-                        let prev_cell = if prev == NIL {
-                            &self.buckets[idx]
-                        } else {
-                            &self.slab.node(prev).next
-                        };
-                        if prev_cell.get() != bp {
+                        if self.table.link(&self.core.slab, idx, prev).get() != bp {
                             return None;
                         }
-                        let next = self.slab.node(bp).next.get();
-                        let bump = ics.could_swopt_be_running();
-                        if bump {
-                            ver.begin_conflicting_action();
-                        }
-                        prev_cell.set(next);
-                        if bump {
-                            ver.end_conflicting_action();
-                        }
+                        self.core.unlink(ics, idx, &self.table, idx, prev, bp);
                         Some(bp)
                     },
                 );
@@ -416,84 +358,56 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
                 }
             },
         );
-        match removed {
-            Some(id) => {
-                self.slab.free(id);
-                true
-            }
-            None => false,
-        }
+        self.free_removed(removed)
     }
 
     /// Insert with a SWOpt search prefix and a nested critical section for
     /// the publication (§3.3's "we can provide a SWOpt path for the first
     /// parts of these methods too").
     pub fn insert_fine(&self, key: u64, val: V) -> bool {
-        let new_id = self.slab.alloc(key, val);
+        let new_id = self.core.slab.alloc(key, val);
         let idx = self.bucket_of(key);
-        let ver = self.ver_of(idx);
-        let inserted = self.lock.cs(
+        let ver = self.core.ver_of(idx);
+        let inserted = self.core.lock.cs(
             scope!("HashMap::insert_fine"),
             CsOptions::new().with_swopt(),
             |cs| {
                 if !cs.is_swopt() {
-                    return CsOutcome::Done(self.insert_pessimistic(cs, idx, key, val, new_id));
+                    return CsOutcome::Done(self.insert_locked(cs, idx, key, val, new_id));
                 }
                 // SWOpt search prefix: find whether the key exists.
                 let v = ver.read(true);
-                let mut found = NIL;
-                let mut bp = self.buckets[idx].get();
-                if !ver.validate(v) {
+                let valid = || ver.validate(v);
+                let Some((_, found)) = self.table.find_validated(&self.core.slab, idx, key, valid)
+                else {
                     return CsOutcome::SwOptFail;
-                }
-                while bp != NIL {
-                    let node = self.slab.node(bp);
-                    let k = node.key.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                    if k == key {
-                        found = bp;
-                        break;
-                    }
-                    bp = node.next.get();
-                    if !ver.validate(v) {
-                        return CsOutcome::SwOptFail;
-                    }
-                }
-                let head = self.buckets[idx].get();
+                };
+                let head = self.table.bucket(idx).get();
                 if !ver.validate(v) {
                     return CsOutcome::SwOptFail;
                 }
                 // Nested CS performs the mutation.
-                let done = self.lock.cs_plain(
+                let done = self.core.lock.cs_plain(
                     scope!("HashMap::insert_fine::publish"),
                     CsOptions::new(),
                     |ics| {
                         if !ver.validate(v) {
                             return None;
                         }
-                        if found != NIL {
-                            // Overwrite: check the node is still reachable
+                        if let Some(id) = found {
+                            // Overwrite: the node is still reachable
                             // (recycling requires a version bump, which
                             // validate caught, so key identity holds).
-                            let bump = ics.could_swopt_be_running();
-                            if bump {
-                                ver.begin_conflicting_action();
-                            }
-                            self.slab.node(found).val.set(val);
-                            if bump {
-                                ver.end_conflicting_action();
-                            }
+                            self.core.overwrite(ics, idx, id, val);
                             return Some(false);
                         }
                         // Fresh insert: the head we saw must be unchanged,
                         // else another insert may have added our key.
-                        if self.buckets[idx].get() != head {
+                        if self.table.bucket(idx).get() != head {
                             return None;
                         }
-                        self.slab.node(new_id).next.set(head);
-                        self.buckets[idx].set(new_id);
+                        self.core.slab.node(new_id).next.set(head);
+                        self.table.bucket(idx).set(new_id);
                         Some(true)
                     },
                 );
@@ -504,101 +418,58 @@ impl<V: Copy + Default + Send + 'static> AleHashMap<V> {
             },
         );
         if !inserted {
-            self.slab.free(new_id);
+            self.core.slab.free(new_id);
         }
         inserted
     }
 
-    fn remove_pessimistic(&self, cs: &ale_core::CsCtx<'_>, idx: usize, key: u64) -> Option<u64> {
-        let ver = self.ver_of(idx);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                break;
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        if bp == NIL {
-            return None;
-        }
-        let next = self.slab.node(bp).next.get();
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        if prev == NIL {
-            self.buckets[idx].set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
-        if bump {
-            ver.end_conflicting_action();
-        }
-        Some(bp)
+    /// Unlink `key` from chain `idx` under exclusion; the unlinked id.
+    fn remove_locked(&self, cs: &CsCtx<'_>, idx: usize, key: u64) -> Option<u64> {
+        let (prev, id) = self.table.find(&self.core.slab, idx, key);
+        let id = id?;
+        self.core.unlink(cs, idx, &self.table, idx, prev, id);
+        Some(id)
     }
 
-    fn insert_pessimistic(
-        &self,
-        cs: &ale_core::CsCtx<'_>,
-        idx: usize,
-        key: u64,
-        val: V,
-        new_id: u64,
-    ) -> bool {
-        let ver = self.ver_of(idx);
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                let bump = cs.could_swopt_be_running();
-                if bump {
-                    ver.begin_conflicting_action();
-                }
-                node.val.set(val);
-                if bump {
-                    ver.end_conflicting_action();
-                }
-                return false;
-            }
-            bp = node.next.get();
+    /// Insert or overwrite under exclusion. Returns true if `new_id` was
+    /// linked. Publishing a fully-initialised node is not a conflicting
+    /// action: readers see the old or the new chain.
+    fn insert_locked(&self, cs: &CsCtx<'_>, idx: usize, key: u64, val: V, new_id: u64) -> bool {
+        if let (_, Some(id)) = self.table.find(&self.core.slab, idx, key) {
+            self.core.overwrite(cs, idx, id, val);
+            return false;
         }
-        self.slab.node(new_id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(new_id);
+        self.table.link_front(&self.core.slab, idx, new_id);
         true
+    }
+
+    /// Recycle a removed node only after its unlink committed.
+    fn free_removed(&self, removed: Option<u64>) -> bool {
+        if let Some(id) = removed {
+            self.core.slab.free(id);
+        }
+        removed.is_some()
     }
 
     /// Key count via a Lock-mode sweep (diagnostics/tests only).
     pub fn len_slow(&self) -> usize {
-        self.lock.cs_plain(
+        self.core.lock.cs_plain(
             scope!("HashMap::len"),
             CsOptions::new().without_htm(),
-            |_| {
-                let mut n = 0;
-                for b in &self.buckets {
-                    let mut bp = b.get();
-                    while bp != NIL {
-                        n += 1;
-                        bp = self.slab.node(bp).next.get();
-                    }
-                }
-                n
-            },
+            |_| self.table.count(&self.core.slab),
         )
     }
 
     /// The ALE lock protecting the table (reports, baselines).
     pub fn lock(&self) -> &AleLock<SpinLock> {
-        &self.lock
+        &self.core.lock
     }
 
     /// Are all version stripes even (no conflicting region left open)?
     /// ale-check's post-run oracle: a crash/abort path that leaves a
     /// version odd would wedge every future SWOpt reader.
     pub fn versions_even(&self) -> bool {
-        self.vers.iter().all(|v| v.read(false).is_multiple_of(2))
+        self.core.versions_even()
     }
 }
 
@@ -632,9 +503,9 @@ mod tests {
                 version_stripes: 500,
             },
         );
-        assert_eq!(map.buckets.len(), 128);
-        assert_eq!(map.vers.len(), 128, "stripes must clamp to buckets");
-        assert_eq!(map.ver_mask, map.vers.len() - 1);
+        assert_eq!(map.table.len(), 128);
+        assert_eq!(map.core.vers.len(), 128, "stripes must clamp to buckets");
+        assert_eq!(map.core.ver_mask, map.core.vers.len() - 1);
     }
 
     #[test]
@@ -649,19 +520,19 @@ mod tests {
                     version_stripes: stripes,
                 },
             );
-            assert!(map.vers.len().is_power_of_two());
+            assert!(map.core.vers.len().is_power_of_two());
             assert!(
-                map.vers.len() <= map.buckets.len(),
+                map.core.vers.len() <= map.table.len(),
                 "{stripes} stripes on {buckets} buckets must clamp"
             );
             // `ver_of` takes a bucket index, but must tolerate any usize a
             // caller could derive from a hash: masking keeps it in bounds.
             for raw in [0usize, 1, 2, 63, 64, 127, 1000, usize::MAX] {
-                let _ = map.ver_of(raw); // would panic on out-of-bounds
+                let _ = map.core.ver_of(raw); // would panic on out-of-bounds
             }
             // Every actual bucket maps to a live stripe.
-            for b in 0..map.buckets.len() {
-                let _ = map.ver_of(b);
+            for b in 0..map.table.len() {
+                let _ = map.core.ver_of(b);
             }
         }
     }

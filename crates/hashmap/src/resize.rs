@@ -1,4 +1,4 @@
-//! Bucket tables and the append-only table set behind incremental resize.
+//! The append-only table set behind incremental resize.
 //!
 //! A resizing shard never frees or reuses a bucket array: each doubling
 //! installs a fresh [`Table`] into the next [`TableSet`] slot, and the
@@ -15,9 +15,7 @@
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use ale_htm::HtmCell;
-
-use crate::node::NIL;
+use crate::table::Table;
 
 /// Sentinel slot index meaning "no previous table" (migration idle).
 pub const NO_TABLE: u64 = u64::MAX;
@@ -25,40 +23,6 @@ pub const NO_TABLE: u64 = u64::MAX;
 /// Table-set slots per shard. Starting from even a 2-bucket table, 16
 /// doublings outgrow any capacity the node slab can hold.
 pub const MAX_TABLES: usize = 16;
-
-/// One bucket array: chain heads (node ids into the owning shard's slab)
-/// plus the power-of-two index mask.
-pub struct Table {
-    buckets: Box<[HtmCell<u64>]>,
-    /// `buckets.len() - 1`; bucket index is `hash & mask`.
-    pub mask: usize,
-}
-
-impl Table {
-    /// An empty table with `buckets` chains (rounded up to a power of two).
-    pub fn new(buckets: usize) -> Self {
-        let n = buckets.max(1).next_power_of_two();
-        Table {
-            buckets: (0..n).map(|_| HtmCell::new(NIL)).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Number of bucket chains.
-    pub fn len(&self) -> usize {
-        self.mask + 1
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false // a table always has at least one bucket
-    }
-
-    /// The chain-head cell for bucket `idx`.
-    #[inline]
-    pub fn bucket(&self, idx: usize) -> &HtmCell<u64> {
-        &self.buckets[idx]
-    }
-}
 
 /// Append-only storage for a shard's bucket tables.
 ///
@@ -143,19 +107,6 @@ impl Drop for TableSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_rounds_to_power_of_two() {
-        assert_eq!(Table::new(0).len(), 1);
-        assert_eq!(Table::new(3).len(), 4);
-        assert_eq!(Table::new(4).len(), 4);
-        let t = Table::new(6);
-        assert_eq!(t.len(), 8);
-        assert_eq!(t.mask, 7);
-        for i in 0..t.len() {
-            assert_eq!(t.bucket(i).get(), NIL);
-        }
-    }
 
     #[test]
     fn install_is_once_only() {

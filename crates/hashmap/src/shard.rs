@@ -53,10 +53,12 @@ use std::sync::Arc;
 
 use ale_core::{scope, Ale, AleLock, CsCtx, CsOptions, CsOutcome, ScopeId};
 use ale_htm::HtmCell;
-use ale_sync::{CachePadded, SeqBuffer, SeqVersion, SpinLock};
+use ale_sync::{SeqBuffer, SpinLock};
 
-use crate::node::{NodeSlab, NIL};
-use crate::resize::{Table, TableSet, MAX_TABLES, NO_TABLE};
+use crate::map::MapCore;
+use crate::node::NIL;
+use crate::resize::{TableSet, MAX_TABLES, NO_TABLE};
+use crate::table::{hash_of, Table, FIB};
 
 /// Maximum shard count (power of two).
 pub const MAX_SHARDS: usize = 32;
@@ -70,19 +72,6 @@ static SHARD_LABELS: [&str; MAX_SHARDS] = [
     "shard16", "shard17", "shard18", "shard19", "shard20", "shard21", "shard22", "shard23",
     "shard24", "shard25", "shard26", "shard27", "shard28", "shard29", "shard30", "shard31",
 ];
-
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-#[inline]
-fn mix(key: u64) -> u64 {
-    key.wrapping_mul(FIB)
-}
-
-/// The bucket hash: same bits the single-lock map masks for its buckets.
-#[inline]
-fn hash_of(key: u64) -> usize {
-    (mix(key) >> 32) as usize
-}
 
 /// Configuration for [`AleShardedMap`].
 #[derive(Debug, Clone)]
@@ -151,13 +140,11 @@ impl ShardedMapConfig {
     }
 }
 
-/// One shard: a self-contained single-lock chained table with resize state.
+/// One shard: the single-lock map's state plus the resize machinery.
 struct Shard<V: Copy + Default + Send + 'static> {
-    lock: AleLock<SpinLock>,
-    slab: NodeSlab<V>,
-    /// Per-stripe version words, cache-line padded (DESIGN.md §14).
-    vers: Vec<CachePadded<SeqVersion>>,
-    ver_mask: usize,
+    /// Lock, slab and version stripes. Stripes are indexed by hash, so a
+    /// stripe snapshot stays meaningful across a table swap.
+    core: MapCore<V>,
     tables: TableSet,
     /// `[cur_slot, prev_slot | NO_TABLE, migration_cursor, epoch]`.
     meta: SeqBuffer<4>,
@@ -167,11 +154,6 @@ struct Shard<V: Copy + Default + Send + 'static> {
 }
 
 impl<V: Copy + Default + Send + 'static> Shard<V> {
-    #[inline]
-    fn ver_of(&self, hash: usize) -> &SeqVersion {
-        &self.vers[hash & self.ver_mask]
-    }
-
     /// The insert router: which current-table bucket takes a new link.
     #[inline]
     fn route_insert(&self, hash: usize, curt: &Table, prev: u64) -> usize {
@@ -186,123 +168,65 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         hash & curt.mask
     }
 
+    /// The chains a lookup of `hash` searches, in order: chain `idx` of the
+    /// current table, then — while a migration is live and its cursor has
+    /// not passed the key's old bucket — that old-table chain.
+    fn chains<'a>(
+        &'a self,
+        curt: &'a Table,
+        idx: usize,
+        prev: u64,
+        cursor: u64,
+        hash: usize,
+    ) -> impl Iterator<Item = (&'a Table, usize)> {
+        let old = (prev != NO_TABLE)
+            .then(|| self.tables.get(prev))
+            .map(|prevt| (prevt, hash & prevt.mask))
+            .filter(|&(_, ob)| ob as u64 >= cursor);
+        [Some((curt, idx)), old].into_iter().flatten()
+    }
+
     /// SWOpt lookup: `Some(found)` on a validated result, `None` on
     /// interference (caller reports `CsOutcome::SwOptFail`).
     // ale-lint: swopt
     fn get_swopt(&self, hash: usize, key: u64, ret_val: &mut V) -> Option<bool> {
         let (snap, mv) = self.meta.load_versioned();
         let [cur, prev, cursor, _epoch] = snap;
-        let ver = self.ver_of(hash);
+        let ver = self.core.ver_of(hash);
         let v = ver.read(true);
         // The stripe snapshot must postdate nothing: re-anchor the metadata.
         if !self.meta.version().validate(mv) {
             return None;
         }
+        // The stripe catches overwrites/unlinks; the metadata version
+        // catches chain splices and table swaps.
+        let valid = || ver.validate(v) && self.meta.version().validate(mv);
         let curt = self.tables.get(cur);
-        if let Some(val) = self.search_swopt(curt, hash & curt.mask, key, ver, v, mv)? {
-            *ret_val = val;
-            return Some(true);
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let Some(val) = self.search_swopt(prevt, ob, key, ver, v, mv)? {
-                    *ret_val = val;
-                    return Some(true);
+        for (t, idx) in self.chains(curt, hash & curt.mask, prev, cursor, hash) {
+            let (_, hit) = t.find_validated(&self.core.slab, idx, key, valid)?;
+            if let Some(id) = hit {
+                let val = self.core.slab.node(id).val.get();
+                if !valid() {
+                    return None;
                 }
+                *ret_val = val;
+                return Some(true);
             }
         }
         Some(false)
-    }
-
-    /// Walk one chain optimistically, validating the stripe *and* the
-    /// table-pointer version before using anything read since the
-    /// snapshots. The stripe catches overwrites/unlinks; the metadata
-    /// version catches chain splices and table swaps.
-    // ale-lint: swopt
-    #[allow(clippy::too_many_arguments)]
-    fn search_swopt(
-        &self,
-        t: &Table,
-        idx: usize,
-        key: u64,
-        ver: &SeqVersion,
-        v: u64,
-        mv: u64,
-    ) -> Option<Option<V>> {
-        let mut bp = t.bucket(idx).get();
-        if !ver.validate(v) || !self.meta.version().validate(mv) {
-            return None;
-        }
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            let k = node.key.get();
-            if !ver.validate(v) || !self.meta.version().validate(mv) {
-                return None;
-            }
-            if k == key {
-                let val = node.val.get();
-                if !ver.validate(v) || !self.meta.version().validate(mv) {
-                    return None;
-                }
-                return Some(Some(val));
-            }
-            bp = node.next.get();
-            if !ver.validate(v) || !self.meta.version().validate(mv) {
-                return None;
-            }
-        }
-        Some(None)
     }
 
     /// Pessimistic (HTM/Lock) lookup across both tables.
     fn get_locked(&self, hash: usize, key: u64, ret_val: &mut V) -> bool {
         let [cur, prev, cursor, _] = self.meta.load();
         let curt = self.tables.get(cur);
-        if let (_, Some(id)) = self.find(curt, hash & curt.mask, key) {
-            *ret_val = self.slab.node(id).val.get();
-            return true;
-        }
-        if prev != NO_TABLE {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (_, Some(id)) = self.find(prevt, ob, key) {
-                    *ret_val = self.slab.node(id).val.get();
-                    return true;
-                }
+        for (t, idx) in self.chains(curt, hash & curt.mask, prev, cursor, hash) {
+            if let (_, Some(id)) = t.find(&self.core.slab, idx, key) {
+                *ret_val = self.core.slab.node(id).val.get();
+                return true;
             }
         }
         false
-    }
-
-    /// Chain search under exclusion: `(predecessor id | NIL, node id)`.
-    fn find(&self, t: &Table, idx: usize, key: u64) -> (u64, Option<u64>) {
-        let mut prev = NIL;
-        let mut bp = t.bucket(idx).get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                return (prev, Some(bp));
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        (prev, None)
-    }
-
-    /// Overwrite `id`'s value inside a conflicting region.
-    fn overwrite(&self, cs: &CsCtx<'_>, hash: usize, id: u64, val: V) {
-        let ver = self.ver_of(hash);
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        self.slab.node(id).val.set(val);
-        if bump {
-            ver.end_conflicting_action();
-        }
     }
 
     /// Insert or overwrite under exclusion. Returns `(newly inserted,
@@ -320,27 +244,16 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         let migrating = prev != NO_TABLE;
         let curt = self.tables.get(cur);
         let idx = self.route_insert(hash, curt, prev);
-        if let (_, Some(id)) = self.find(curt, idx, key) {
-            self.overwrite(cs, hash, id, val);
-            return (false, migrating);
-        }
-        if migrating {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (_, Some(id)) = self.find(prevt, ob, key) {
-                    // Not yet migrated: overwrite in place — lookups still
-                    // consult this table for buckets at or past the cursor.
-                    self.overwrite(cs, hash, id, val);
-                    return (false, migrating);
-                }
+        // A key not yet migrated is overwritten in place: lookups still
+        // consult the old table for buckets at or past the cursor.
+        for (t, i) in self.chains(curt, idx, prev, cursor, hash) {
+            if let (_, Some(id)) = t.find(&self.core.slab, i, key) {
+                self.core.overwrite(cs, hash, id, val);
+                return (false, migrating);
             }
         }
-        // Fresh link at the head of the current-table chain. Publishing a
-        // fully-initialised node is not a conflicting action: readers see
-        // the old or the new chain.
-        self.slab.node(new_id).next.set(curt.bucket(idx).get());
-        curt.bucket(idx).set(new_id);
+        // Fresh link at the head of the current-table chain.
+        curt.link_front(&self.core.slab, idx, new_id);
         self.count.set(self.count.get() + 1);
         (true, migrating)
     }
@@ -351,40 +264,18 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         let [cur, prev, cursor, _] = self.meta.load();
         let migrating = prev != NO_TABLE;
         let curt = self.tables.get(cur);
-        let cidx = hash & curt.mask;
-        if let (p, Some(id)) = self.find(curt, cidx, key) {
-            self.unlink(cs, hash, curt, cidx, p, id);
-            return (Some(id), migrating);
-        }
-        if migrating {
-            let prevt = self.tables.get(prev);
-            let ob = hash & prevt.mask;
-            if (ob as u64) >= cursor {
-                if let (p, Some(id)) = self.find(prevt, ob, key) {
-                    self.unlink(cs, hash, prevt, ob, p, id);
-                    return (Some(id), migrating);
-                }
+        for (t, idx) in self.chains(curt, hash & curt.mask, prev, cursor, hash) {
+            if let (p, Some(id)) = t.find(&self.core.slab, idx, key) {
+                self.unlink(cs, hash, t, idx, p, id);
+                return (Some(id), migrating);
             }
         }
         (None, migrating)
     }
 
-    /// Splice `id` out of `t`'s chain at `idx` inside a conflicting region.
+    /// Splice `id` out of `t`'s chain at `idx` and count it gone.
     fn unlink(&self, cs: &CsCtx<'_>, hash: usize, t: &Table, idx: usize, prev: u64, id: u64) {
-        let next = self.slab.node(id).next.get();
-        let ver = self.ver_of(hash);
-        let bump = cs.could_swopt_be_running();
-        if bump {
-            ver.begin_conflicting_action();
-        }
-        if prev == NIL {
-            t.bucket(idx).set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
-        if bump {
-            ver.end_conflicting_action();
-        }
+        self.core.unlink(cs, hash, t, idx, prev, id);
         self.count.set(self.count.get() - 1);
     }
 
@@ -417,7 +308,7 @@ impl<V: Copy + Default + Send + 'static> Shard<V> {
         }
         prevt.bucket(idx).set(NIL);
         while bp != NIL {
-            let node = self.slab.node(bp);
+            let node = self.core.slab.node(bp);
             let next = node.next.get();
             let nb = hash_of(node.key.get()) & curt.mask;
             node.next.set(curt.bucket(nb).get());
@@ -464,12 +355,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         let shards = (0..shards)
             .map(|i| {
                 let shard = Shard {
-                    lock: ale.new_lock(SHARD_LABELS[i], SpinLock::new()),
-                    slab: NodeSlab::with_capacity(config.capacity_per_shard),
-                    vers: (0..stripes)
-                        .map(|_| CachePadded::new(SeqVersion::new()))
-                        .collect(),
-                    ver_mask: stripes - 1,
+                    core: MapCore::new(ale, SHARD_LABELS[i], config.capacity_per_shard, stripes),
                     tables: TableSet::new(Table::new(config.buckets_per_shard)),
                     meta: SeqBuffer::new(),
                     count: HtmCell::new(0),
@@ -494,7 +380,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         if self.shards.len() == 1 {
             0
         } else {
-            (mix(key) >> self.shard_shift) as usize
+            (key.wrapping_mul(FIB) >> self.shard_shift) as usize
         }
     }
 
@@ -513,7 +399,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     pub fn get_scoped(&self, scope: &'static ScopeId, key: u64, ret_val: &mut V) -> bool {
         let s = &self.shards[self.shard_of(key)];
         let hash = hash_of(key);
-        s.lock.cs(
+        s.core.lock.cs(
             scope,
             CsOptions::new().with_swopt().non_conflicting(),
             |cs| {
@@ -537,14 +423,15 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         let s = &self.shards[si];
         let hash = hash_of(key);
         // Allocate and fill the node *outside* the critical section.
-        let new_id = s.slab.alloc(key, val);
+        let new_id = s.core.slab.alloc(key, val);
         let (inserted, migrating) =
-            s.lock
+            s.core
+                .lock
                 .cs_plain(scope!("ShardedMap::insert"), CsOptions::new(), |cs| {
                     s.insert_locked(cs, hash, key, val, new_id)
                 });
         if !inserted {
-            s.slab.free(new_id);
+            s.core.slab.free(new_id);
         }
         if migrating {
             self.advance_migration(si);
@@ -560,14 +447,15 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         let s = &self.shards[si];
         let hash = hash_of(key);
         let (removed, migrating) =
-            s.lock
+            s.core
+                .lock
                 .cs_plain(scope!("ShardedMap::remove"), CsOptions::new(), |cs| {
                     s.remove_locked(cs, hash, key)
                 });
         let out = match removed {
             Some(id) => {
                 // Recycle only after the unlink committed.
-                s.slab.free(id);
+                s.core.slab.free(id);
                 true
             }
             None => false,
@@ -592,7 +480,8 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// migration was live). Public so tests can single-step a migration.
     pub fn migrate_step(&self, si: usize) -> bool {
         let s = &self.shards[si];
-        s.lock
+        s.core
+            .lock
             .cs_plain(scope!("ShardedMap::migrate"), CsOptions::new(), |cs| {
                 s.migrate_step_in_cs(cs)
             })
@@ -623,7 +512,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
         // is a real (non-rollback-able) side effect, so it must not run
         // inside a hardware transaction.
         let mut fresh = Some(Table::new(buckets as usize * 2));
-        s.lock.cs_plain(
+        s.core.lock.cs_plain(
             scope!("ShardedMap::resize"),
             CsOptions::new().without_htm(),
             |_cs| {
@@ -655,27 +544,17 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// Key count of one shard via a Lock-mode sweep over both tables.
     pub fn shard_len_slow(&self, si: usize) -> usize {
         let s = &self.shards[si];
-        s.lock.cs_plain(
+        s.core.lock.cs_plain(
             scope!("ShardedMap::len"),
             CsOptions::new().without_htm(),
             |_| {
                 let [cur, prev, _, _] = s.meta.load();
-                let mut n = 0;
-                let mut sweep = |t: &Table| {
-                    for i in 0..t.len() {
-                        let mut bp = t.bucket(i).get();
-                        while bp != NIL {
-                            n += 1;
-                            bp = s.slab.node(bp).next.get();
-                        }
-                    }
-                };
-                sweep(s.tables.get(cur));
+                let mut n = s.tables.get(cur).count(&s.core.slab);
                 if prev != NO_TABLE {
                     // Chains below the cursor must already be empty; sweep
                     // the whole table so a violated invariant shows up as a
                     // count mismatch.
-                    sweep(s.tables.get(prev));
+                    n += s.tables.get(prev).count(&s.core.slab);
                 }
                 n
             },
@@ -708,7 +587,7 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// when no migration is live.
     pub fn old_chains_empty_below_cursor(&self, si: usize) -> bool {
         let s = &self.shards[si];
-        s.lock.cs_plain(
+        s.core.lock.cs_plain(
             scope!("ShardedMap::invariant"),
             CsOptions::new().without_htm(),
             |_| {
@@ -725,15 +604,14 @@ impl<V: Copy + Default + Send + 'static> AleShardedMap<V> {
     /// Are all version stripes and table-pointer versions even (no
     /// conflicting region left open)?
     pub fn versions_even(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.vers.iter().all(|v| v.read(false).is_multiple_of(2))
-                && s.meta.version().read(false).is_multiple_of(2)
-        })
+        self.shards
+            .iter()
+            .all(|s| s.core.versions_even() && s.meta.version().read(false).is_multiple_of(2))
     }
 
     /// The ALE lock protecting shard `si` (reports, baselines).
     pub fn shard_lock(&self, si: usize) -> &AleLock<SpinLock> {
-        &self.shards[si].lock
+        &self.shards[si].core.lock
     }
 }
 

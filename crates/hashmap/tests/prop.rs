@@ -1,12 +1,13 @@
-//! Property-based tests: the ALE HashMap against `std::collections::HashMap`
-//! under arbitrary operation scripts, across platforms, variants, and
-//! version-striping configurations.
+//! Property-based tests: the ALE HashMap and the uninstrumented baseline
+//! map against `std::collections::HashMap` under arbitrary operation
+//! scripts, across platforms, variants, and version-striping
+//! configurations.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ale_core::{Ale, AleConfig, StaticPolicy};
-use ale_hashmap::{AleHashMap, MapConfig};
+use ale_hashmap::{AleHashMap, BaselineHashMap, MapConfig};
 use ale_vtime::Platform;
 use proptest::prelude::*;
 
@@ -44,33 +45,36 @@ fn check_script(
     );
     let map: AleHashMap<u64> =
         AleHashMap::new(&ale, MapConfig::new(32).with_version_stripes(stripes));
+    // The baseline has no §3.3 variants: it runs their plain counterparts.
+    let base: BaselineHashMap<u64> = BaselineHashMap::new(32, 1 << 12);
     let mut model: HashMap<u64, u64> = HashMap::new();
     for op in script {
         match *op {
-            Op::Insert(k, v) => {
-                prop_assert_eq!(map.insert(k, v), !model.contains_key(&k));
+            Op::Insert(k, v) | Op::InsertFine(k, v) => {
+                let fresh = !model.contains_key(&k);
+                let inserted = match op {
+                    Op::Insert(..) => map.insert(k, v),
+                    _ => map.insert_fine(k, v),
+                };
+                prop_assert_eq!(inserted, fresh);
+                prop_assert_eq!(base.insert(k, v), fresh);
                 model.insert(k, v);
             }
-            Op::InsertFine(k, v) => {
-                prop_assert_eq!(map.insert_fine(k, v), !model.contains_key(&k));
-                model.insert(k, v);
-            }
-            Op::Remove(k) => {
-                prop_assert_eq!(map.remove(k), model.remove(&k).is_some());
-            }
-            Op::RemoveFine(k) => {
-                prop_assert_eq!(map.remove_fine(k), model.remove(&k).is_some());
-            }
-            Op::RemoveSelfAbort(k) => {
-                prop_assert_eq!(map.remove_self_abort(k), model.remove(&k).is_some());
+            Op::Remove(k) | Op::RemoveFine(k) | Op::RemoveSelfAbort(k) => {
+                let present = model.remove(&k).is_some();
+                let removed = match op {
+                    Op::Remove(_) => map.remove(k),
+                    Op::RemoveFine(_) => map.remove_fine(k),
+                    _ => map.remove_self_abort(k),
+                };
+                prop_assert_eq!(removed, present);
+                prop_assert_eq!(base.remove(k), present);
             }
             Op::Get(k) => {
-                let mut v = 0;
-                let found = map.get(k, &mut v);
-                prop_assert_eq!(found, model.contains_key(&k));
-                if found {
-                    prop_assert_eq!(&v, &model[&k]);
-                }
+                let want = model.get(&k).copied();
+                let (mut v, mut bv) = (0, 0);
+                prop_assert_eq!(map.get(k, &mut v).then_some(v), want);
+                prop_assert_eq!(base.get(k, &mut bv).then_some(bv), want);
             }
         }
     }
@@ -107,56 +111,5 @@ proptest! {
         stripes in 1usize..64,
     ) {
         check_script(Platform::testbed(), 4, 8, stripes, &script)?;
-    }
-}
-
-mod list_props {
-    use std::collections::BTreeSet;
-
-    use ale_core::{Ale, AleConfig, StaticPolicy};
-    use ale_hashmap::AleSortedList;
-    use ale_vtime::Platform;
-    use proptest::prelude::*;
-
-    #[derive(Debug, Clone)]
-    enum LOp {
-        Insert(u64),
-        Remove(u64),
-        Contains(u64),
-    }
-
-    fn lop(keys: u64) -> impl Strategy<Value = LOp> {
-        prop_oneof![
-            3 => (0..keys).prop_map(LOp::Insert),
-            2 => (0..keys).prop_map(LOp::Remove),
-            3 => (0..keys).prop_map(LOp::Contains),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// The sorted list matches BTreeSet under arbitrary scripts, on an
-        /// HTM platform and on a SWOpt-only platform.
-        #[test]
-        fn list_matches_btreeset(
-            script in proptest::collection::vec(lop(64), 0..120),
-            htm in any::<bool>(),
-        ) {
-            let platform = if htm { Platform::testbed() } else { Platform::t2() };
-            let ale = Ale::new(AleConfig::new(platform).with_seed(6), StaticPolicy::new(4, 8));
-            let list = AleSortedList::new(&ale, 4096);
-            let mut model = BTreeSet::new();
-            for op in &script {
-                match *op {
-                    LOp::Insert(k) => prop_assert_eq!(list.insert(k), model.insert(k)),
-                    LOp::Remove(k) => prop_assert_eq!(list.remove(k), model.remove(&k)),
-                    LOp::Contains(k) => prop_assert_eq!(list.contains(k), model.contains(&k)),
-                }
-            }
-            let snap = list.snapshot();
-            let want: Vec<u64> = model.iter().copied().collect();
-            prop_assert_eq!(snap, want, "final contents must match, in order");
-        }
     }
 }

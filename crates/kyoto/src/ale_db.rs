@@ -114,26 +114,14 @@ impl AleCacheDb {
     // ale-lint: swopt
     fn optimistic_search(&self, slot: &Slot, key: u64) -> Result<bool, ()> {
         let v = slot.ver.read(true);
-        let idx = slot.bucket_of(key);
-        let mut bp = slot.buckets[idx].get();
-        if !slot.ver.validate(v) {
-            return Err(());
+        let valid = || slot.ver.validate(v);
+        match slot
+            .table
+            .find_validated(&slot.slab, slot.bucket_of(key), key, valid)
+        {
+            Some((_, hit)) => Ok(hit.is_some()),
+            None => Err(()),
         }
-        while bp != NIL {
-            let node = slot.slab.node(bp);
-            let k = node.key.get();
-            if !slot.ver.validate(v) {
-                return Err(());
-            }
-            if k == key {
-                return Ok(true);
-            }
-            bp = node.next.get();
-            if !slot.ver.validate(v) {
-                return Err(());
-            }
-        }
-        Ok(false)
     }
 
     /// The external readers-writer lock's metadata (poison inspection and

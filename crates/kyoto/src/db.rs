@@ -17,6 +17,7 @@ use ale_htm::HtmCell;
 use ale_sync::SeqVersion;
 
 use ale_hashmap::node::{NodeSlab, NIL};
+use ale_hashmap::Table;
 
 pub use ale_hashmap::node::Node;
 
@@ -27,10 +28,10 @@ pub const SLOT_NUM: usize = 16;
 /// fixed-size payload exercises the same locking paths).
 pub type Value = u64;
 
-/// One slot: a chained hash array plus its version number for optimistic
-/// readers.
+/// One slot: a chained hash [`Table`] plus its version number for
+/// optimistic readers.
 pub struct Slot {
-    pub buckets: Vec<HtmCell<u64>>,
+    pub table: Table,
     pub slab: NodeSlab<Value>,
     pub ver: SeqVersion,
     /// Per-record payload words (row-major: `node_id * payload_cells ..`),
@@ -39,7 +40,6 @@ pub struct Slot {
     /// real record copies do.
     payload: Vec<HtmCell<u64>>,
     payload_cells: usize,
-    mask: usize,
 }
 
 impl Slot {
@@ -49,16 +49,14 @@ impl Slot {
 
     /// As [`Slot::new`] with `payload_cells` extra words per record.
     pub fn with_payload(buckets: usize, capacity: u64, payload_cells: usize) -> Self {
-        let buckets = buckets.next_power_of_two();
         Slot {
-            buckets: (0..buckets).map(|_| HtmCell::new(NIL)).collect(),
+            table: Table::new(buckets),
             slab: NodeSlab::with_capacity(capacity),
             ver: SeqVersion::new(),
             payload: (0..capacity as usize * payload_cells)
                 .map(|_| HtmCell::new(0))
                 .collect(),
             payload_cells,
-            mask: buckets - 1,
         }
     }
 
@@ -91,25 +89,16 @@ impl Slot {
 
     #[inline]
     pub fn bucket_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(0xD134_2543_DE82_EF95) >> 32) as usize & self.mask
+        (key.wrapping_mul(0xD134_2543_DE82_EF95) >> 32) as usize & self.table.mask
     }
 
     /// Search a bucket chain. Returns `(prev, id)`; `id == NIL` on miss.
-    /// Caller must hold the slot lock, be inside a transaction, or follow
-    /// an optimistic protocol validated against [`Slot::ver`].
+    /// Caller must hold the slot lock or be inside a transaction; the
+    /// optimistic protocol uses [`Table::find_validated`] against
+    /// [`Slot::ver`].
     pub fn search(&self, key: u64) -> (u64, u64) {
-        let idx = self.bucket_of(key);
-        let mut prev = NIL;
-        let mut bp = self.buckets[idx].get();
-        while bp != NIL {
-            let node = self.slab.node(bp);
-            if node.key.get() == key {
-                return (prev, bp);
-            }
-            prev = bp;
-            bp = node.next.get();
-        }
-        (prev, NIL)
+        let (prev, id) = self.table.find(&self.slab, self.bucket_of(key), key);
+        (prev, id.unwrap_or(NIL))
     }
 
     /// Move a found node to the front of its bucket (Kyoto's access-order
@@ -122,55 +111,30 @@ impl Slot {
         let idx = self.bucket_of(key);
         let next = self.slab.node(id).next.get();
         self.slab.node(prev).next.set(next);
-        self.slab.node(id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(id);
+        self.table.link_front(&self.slab, idx, id);
     }
 
     /// Unlink a found node. A conflicting action (see `move_to_front`).
     pub fn unlink(&self, key: u64, prev: u64, id: u64) {
-        let idx = self.bucket_of(key);
-        let next = self.slab.node(id).next.get();
-        if prev == NIL {
-            self.buckets[idx].set(next);
-        } else {
-            self.slab.node(prev).next.set(next);
-        }
+        self.table
+            .unlink(&self.slab, self.bucket_of(key), prev, id, |splice| splice());
     }
 
     /// Link a pre-allocated node at the bucket head (not conflicting:
     /// publishes a fully-initialised node atomically).
     pub fn link_front(&self, key: u64, id: u64) {
-        let idx = self.bucket_of(key);
-        self.slab.node(id).next.set(self.buckets[idx].get());
-        self.buckets[idx].set(id);
+        self.table.link_front(&self.slab, self.bucket_of(key), id);
     }
 
     /// Number of records (caller must exclude writers).
     pub fn count(&self) -> usize {
-        let mut n = 0;
-        for b in &self.buckets {
-            let mut bp = b.get();
-            while bp != NIL {
-                n += 1;
-                bp = self.slab.node(bp).next.get();
-            }
-        }
-        n
+        self.table.count(&self.slab)
     }
 
     /// Remove every record, returning the unlinked ids (caller frees them
     /// after its critical section commits).
     pub fn clear_collect(&self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        for b in &self.buckets {
-            let mut bp = b.get();
-            while bp != NIL {
-                ids.push(bp);
-                bp = self.slab.node(bp).next.get();
-            }
-            b.set(NIL);
-        }
-        ids
+        self.table.clear_collect(&self.slab)
     }
 }
 

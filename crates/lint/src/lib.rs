@@ -102,8 +102,8 @@ pub struct Analysis {
 
 /// The two files whose SWOpt read paths are auto-detected by name (the
 /// paper's Figure-1 modules); everywhere else requires the explicit marker
-/// comment. Kept in sync with `rules::swopt_fns`.
-fn swopt_auto_file(path: &str) -> bool {
+/// comment. The parser and `rules::swopt_fns` both ask this one list.
+pub(crate) fn swopt_auto_file(path: &str) -> bool {
     path.ends_with("hashmap/src/map.rs") || path.ends_with("kyoto/src/ale_db.rs")
 }
 
@@ -205,7 +205,8 @@ impl Analysis {
     }
 
     /// Per-node transitive effect dump (`--effects`), sorted by
-    /// `(file, line)`.
+    /// `(file, line)`. SWOpt read paths — the roots `swopt-purity-transitive`
+    /// checks — carry a `[swopt]` tag after their name.
     #[must_use]
     pub fn effects_dump(&self) -> String {
         let mut lines: Vec<(String, usize, String)> = self
@@ -218,10 +219,11 @@ impl Analysis {
                     n.file.clone(),
                     n.line,
                     format!(
-                        "{}:{} {} — {}",
+                        "{}:{} {}{} — {}",
                         n.file,
                         n.line + 1,
                         n.qual,
+                        if n.swopt { " [swopt]" } else { "" },
                         effects::describe(e)
                     ),
                 )

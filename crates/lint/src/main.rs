@@ -11,7 +11,8 @@
 //! used by the fixture tests and for spot checks.
 //!
 //! * `--effects` prints the per-function transitive effect sets instead of
-//!   findings (one line per call-graph node, sorted by file and line).
+//!   findings (one line per call-graph node, sorted by file and line;
+//!   SWOpt roots are tagged `[swopt]`).
 //! * `--callgraph-dot <path>` writes the resolved call graph as Graphviz.
 //! * `--capacity <r,w>` overrides the `htm-footprint` backend limits
 //!   (estimated distinct read/write cells; default mirrors the haswell

@@ -191,8 +191,7 @@ fn region_balance(ctx: &FileCtx) -> Vec<Finding> {
 /// spelling — writing it out here would mark *this* function), or — in the
 /// two modules the paper's Figure 1 models — auto-detected by name.
 fn swopt_fns<'a>(ctx: &'a FileCtx) -> Vec<&'a FnExtent> {
-    let auto_detect_file =
-        ctx.path.ends_with("hashmap/src/map.rs") || ctx.path.ends_with("kyoto/src/ale_db.rs");
+    let auto_detect_file = crate::swopt_auto_file(ctx.path);
     ctx.fns
         .iter()
         .filter(|f| {
